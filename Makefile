@@ -1,5 +1,5 @@
 # Tier-1 gate: everything a change must pass before it lands.
-# `make check` == `make fmt vet build test race`.
+# `make check` == `make fmt vet build test race` plus the gates below.
 #
 # Every test invocation carries an explicit -timeout: the repository's own
 # subject matter is non-terminating guest programs, so the gate must fail
@@ -9,9 +9,9 @@
 GO ?= go
 TEST_TIMEOUT ?= 300s
 
-.PHONY: check fmt vet build test race hangcheck diagcheck faultcheck perfcheck tiercheck typecheck fuzzcheck throughputcheck bench clean
+.PHONY: check fmt vet build test race hangcheck diagcheck faultcheck perfcheck tiercheck typecheck fuzzcheck throughputcheck bench benchsmoke clean
 
-check: fmt vet build test race faultcheck perfcheck tiercheck typecheck fuzzcheck throughputcheck
+check: fmt vet build test race faultcheck perfcheck tiercheck typecheck fuzzcheck throughputcheck benchsmoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -97,18 +97,23 @@ fuzzcheck:
 	FUZZCHECK_PROGRAMS=200 $(GO) test -race -timeout 600s -run 'Campaign|Journal|Minimize|FuzzFinds|Generate|Mutate|SweepProgress|Backoff' ./internal/campaign ./internal/gen ./internal/corpus ./internal/harness
 
 # Compile-once/run-many gate: the full-corpus warm-vs-cold parity pin (a
-# code-cache hit on a pooled engine must be observationally identical to a
-# cold compile — stdout, exit, Steps, Calls, diagnostics — for tier-0,
-# forced tier-1, and async+OSR, clean and fault-injected), the code cache's
-# own concurrency suite (singleflight under eviction churn, LRU bound,
-# hit-not-mutated), the perf-runner pool-reuse pin, and a schema check of
-# the committed BENCH_PR10.json throughput baseline — under the race
-# detector, since the code cache and engine pool are shared process-wide.
+# code-cache hit must be observationally identical to a cold compile —
+# stdout, exit, Steps, Calls, diagnostics — for tier-0, forced tier-1, and
+# async+OSR, clean and fault-injected), the code cache's own concurrency
+# suite (singleflight under eviction churn, LRU bound, hit-not-mutated), and
+# a schema check of the committed BENCH_PR10.json throughput baseline —
+# under the race detector, since the code cache is shared process-wide.
 throughputcheck:
-	$(GO) test -race -timeout 300s -run 'WarmColdCacheParity|BenchPR10|CodeCache|PerfRunnerPool|EnginePool' . ./internal/jit ./internal/core ./internal/harness
+	$(GO) test -race -timeout 300s -run 'WarmColdCacheParity|BenchPR10|CodeCache' . ./internal/jit
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Benchmark smoke gate: every Benchmark* once (-benchtime 1x), so a
+# benchmark whose built-in shape checks rot fails the gate instead of
+# waiting for the next `make bench`.
+benchsmoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x -timeout $(TEST_TIMEOUT) ./...
 
 clean:
 	$(GO) clean ./...

@@ -9,9 +9,9 @@
 //	BenchmarkFig1CVEClassification   — Fig. 1 (CVE keyword study)
 //	BenchmarkFig2ExploitClassification — Fig. 2 (ExploitDB keyword study)
 //	BenchmarkFig3OptimizedAwayBug    — Fig. 3 (O3 deletes the OOB store)
-//	BenchmarkTable1ErrorDistribution — Table 1
+//	BenchmarkTable1ErrorDistribution — Table 1 (68 paper + 8 type confusion)
 //	BenchmarkTable2OOBDistribution   — Table 2
-//	BenchmarkDetectionMatrix         — §4.1 tool comparison (60/56/8)
+//	BenchmarkDetectionMatrix         — §4.1 tool comparison (60/56/8; 76/16 extended)
 //	BenchmarkCaseStudies             — Figs. 10-14
 //	BenchmarkStartup*                — §4.2 start-up costs
 //	BenchmarkFig15Warmup             — Fig. 15 warm-up curve
@@ -94,22 +94,28 @@ int main(void) { return test(20); }`
 // ---- Tables 1 and 2 + the detection matrix ----
 
 func BenchmarkTable1ErrorDistribution(b *testing.B) {
+	var byCat map[corpus.Category]int
 	for i := 0; i < b.N; i++ {
-		total := 0
+		byCat = map[corpus.Category]int{}
 		for _, c := range corpus.All() {
-			cell := harness.RunCase(c, harness.SafeSulong)
-			if cell.Detected {
-				total++
+			if harness.RunCase(c, harness.SafeSulong).Detected {
+				byCat[c.Category]++
 			}
 		}
-		if total != 68 {
-			b.Fatalf("Safe Sulong detected %d/68", total)
+		paper := byCat[corpus.BufferOverflow] + byCat[corpus.NullDereference] +
+			byCat[corpus.UseAfterFree] + byCat[corpus.Varargs]
+		if paper != 68 {
+			b.Fatalf("Safe Sulong detected %d/68 paper cases", paper)
+		}
+		if all := paper + byCat[corpus.TypeConfusion]; all != 76 {
+			b.Fatalf("Safe Sulong detected %d/76 cases", all)
 		}
 	}
-	b.ReportMetric(61, "oob")
-	b.ReportMetric(5, "null")
-	b.ReportMetric(1, "uaf")
-	b.ReportMetric(1, "varargs")
+	b.ReportMetric(float64(byCat[corpus.BufferOverflow]), "oob")
+	b.ReportMetric(float64(byCat[corpus.NullDereference]), "null")
+	b.ReportMetric(float64(byCat[corpus.UseAfterFree]), "uaf")
+	b.ReportMetric(float64(byCat[corpus.Varargs]), "varargs")
+	b.ReportMetric(float64(byCat[corpus.TypeConfusion]), "type_confusion")
 }
 
 func BenchmarkTable2OOBDistribution(b *testing.B) {
@@ -134,14 +140,37 @@ func BenchmarkTable2OOBDistribution(b *testing.B) {
 	b.ReportMetric(float64(writes), "writes")
 }
 
+// BenchmarkDetectionMatrix checks the paper's §4.1 totals on the paper
+// corpus (68/60/56, 8 missed by both) and the extended corpus's totals with
+// the 8 type-confusion cases added (76, 16 missed by both) separately.
 func BenchmarkDetectionMatrix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m := harness.RunDetectionMatrix()
-		if m.Totals[harness.SafeSulong] != 68 ||
-			m.Totals[harness.ASanO0] != 60 ||
-			m.Totals[harness.ASanO3] != 56 ||
-			len(m.MissedByBoth()) != 8 {
-			b.Fatalf("matrix shape broken: %+v missed=%d", m.Totals, len(m.MissedByBoth()))
+		paper := map[harness.Tool]int{}
+		for _, c := range m.Cases {
+			if c.Category == corpus.TypeConfusion {
+				continue
+			}
+			for tool, cell := range m.Cells[c.Name] {
+				if cell.Detected {
+					paper[tool]++
+				}
+			}
+		}
+		paperMissed := 0
+		for _, name := range m.MissedByBoth() {
+			if c, _ := corpus.Get(name); c.Category != corpus.TypeConfusion {
+				paperMissed++
+			}
+		}
+		if paper[harness.SafeSulong] != 68 ||
+			paper[harness.ASanO0] != 60 ||
+			paper[harness.ASanO3] != 56 ||
+			paperMissed != 8 {
+			b.Fatalf("paper matrix shape broken: %+v missed=%d", paper, paperMissed)
+		}
+		if m.Totals[harness.SafeSulong] != 76 || len(m.MissedByBoth()) != 16 {
+			b.Fatalf("extended matrix shape broken: %+v missed=%d", m.Totals, len(m.MissedByBoth()))
 		}
 		if i == 0 {
 			b.ReportMetric(float64(m.Totals[harness.ValgrindO0]), "valgrind_found")

@@ -46,7 +46,7 @@ type fuzzReport struct {
 	*campaign.Result
 	HardFindings int `json:"hardFindings"`
 	// Caches reports process-wide cache effectiveness (pipeline module
-	// cache, executable-code cache, engine pool), key-sorted for stable
+	// cache, executable-code cache), key-sorted for stable
 	// diffing across runs.
 	Caches harness.CacheReport `json:"caches"`
 }

@@ -57,7 +57,7 @@ type report struct {
 	Peak    []peakEntry    `json:"peak,omitempty"`
 	Matrix  *matrixEntry   `json:"matrix,omitempty"`
 	// Caches reports every process-wide cache (pipeline module cache,
-	// executable-code cache, engine pool) with key-sorted fields.
+	// executable-code cache) with key-sorted fields.
 	Caches harness.CacheReport `json:"caches"`
 }
 
@@ -229,12 +229,11 @@ func main() {
 	}
 
 	rep.Caches = harness.Caches()
-	pc, cc, ep := rep.Caches.Pipeline, rep.Caches.CodeCache, rep.Caches.EnginePool
+	pc, cc := rep.Caches.Pipeline, rep.Caches.CodeCache
 	fmt.Printf("\nmodule cache: %d hits / %d misses (%.0f%% hit rate), %d entries\n",
 		pc.Hits, pc.Misses, 100*pc.HitRate, pc.Entries)
 	fmt.Printf("code cache:   %d hits / %d misses, %d evictions, %d units (%d funcs)\n",
 		cc.Hits, cc.Misses, cc.Evictions, cc.Units, cc.Funcs)
-	fmt.Printf("engine pool:  %d hits / %d misses, %d idle\n", ep.Hits, ep.Misses, ep.Idle)
 
 	if *jsonOut != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
@@ -507,9 +506,8 @@ func makeCurve(cfg harness.PerfConfig, samples []harness.WarmupSample) warmupCur
 // and with the tier-1 compiler forced hot, the FailNth fault sweep) plus a
 // fixed-seed 500-program campaign, and a summary holding the warm-cache
 // speedup geomean against its target. "Cold" bypasses every process-wide
-// cache — pipeline module cache, executable-code cache, engine pool — so
-// each cell compiles from source and builds its engine from scratch, the
-// compile-every-time execution model. "Warm" runs with the caches primed by
+// cache — pipeline module cache and executable-code cache — so each cell
+// compiles from source, the compile-every-time execution model. "Warm" runs with the caches primed by
 // one untimed pass, which is how every long-lived driver actually runs.
 type throughputReport struct {
 	Schema     string            `json:"schema"`
@@ -546,17 +544,16 @@ type throughputSummary struct {
 // the identical 500 programs.
 const throughputCampaignSeed = 0x10C0DE
 
-// resetProcessCaches empties the pipeline module cache, the executable-code
-// cache, and the engine pool: the next run pays full front-end, back-end,
-// and engine-construction cost.
+// resetProcessCaches empties the pipeline module cache and the
+// executable-code cache: the next run pays full front-end and back-end cost.
 func resetProcessCaches() {
 	sulong.ResetCache()
 	sulong.ResetCodeCache()
 }
 
 // driverRun executes one driver pass: cold is the fully cold-compile
-// baseline (module cache, code cache, and engine pool all bypassed — every
-// cell compiles from source and builds its engine from scratch), w is the
+// baseline (module cache and code cache both bypassed — every cell
+// compiles from source), w is the
 // worker count, and lat (when non-nil) collects per-cell durations —
 // callers pass it only with w == 1, where inter-progress deltas are exact.
 // Returns the number of units completed.

@@ -85,8 +85,8 @@ type Options struct {
 	// spend (0 selects the default of 300; negative disables minimization).
 	MinimizeBudget int
 	// NoCodeCache opts every judged run out of the process-wide
-	// executable-code cache and engine reuse pool (cold-baseline
-	// benchmarking; see sulong.Config.NoCodeCache). Not part of the journal
+	// executable-code cache (cold-baseline benchmarking; see
+	// sulong.Config.NoCodeCache). Not part of the journal
 	// identity: warm and cold runs produce byte-identical records.
 	NoCodeCache bool
 	// NoCache additionally bypasses the pipeline module cache, so every

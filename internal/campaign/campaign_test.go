@@ -24,6 +24,7 @@ import (
 	"testing"
 	"time"
 
+	sulong "repro"
 	"repro/internal/gen"
 )
 
@@ -372,5 +373,24 @@ func TestCampaignFuzzCheck(t *testing.T) {
 	}
 	if string(before) != string(after) {
 		t.Fatal("replay modified the journal")
+	}
+}
+
+// TestCampaignMinimizerReleasesModules pins "compile once, run many, then
+// release" for the minimizer too: every candidate it judges is compiled
+// through the process-wide module cache, so a campaign that minimizes a
+// finding must leave the cache exactly as large as it found it.
+func TestCampaignMinimizerReleasesModules(t *testing.T) {
+	before := sulong.CacheStats().Entries
+	// Index 5 at refOpts' seed is a tool-blind-spot finding.
+	res, err := Run(Options{Seed: 0xFEED, Programs: 6, MaxNth: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Findings) == 0 || res.Findings[0].Minimized == "" {
+		t.Fatalf("no minimized finding to exercise the minimizer:\n%s", res.Summary())
+	}
+	if after := sulong.CacheStats().Entries; after != before {
+		t.Errorf("module cache holds %d entries after the campaign, %d before", after, before)
 	}
 }

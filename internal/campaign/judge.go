@@ -88,7 +88,7 @@ func (c *campaign) judge(idx int, seed uint64, info gen.Info, genName string) se
 			return rec
 		case "panic":
 			return c.finish(rec, KindEnginePanic, "tier-0: "+bad.Report, src, func(s string) bool {
-				return harness.RunSource(s, harness.SafeSulong, c.baseBudget()).Class == "panic"
+				return runCandidate(s, c.baseBudget())[0].Class == "panic"
 			})
 		default: // "error" and anything else non-deterministic
 			rec.C, rec.R = "quarantine", "tier-0: "+bad.Report
@@ -97,9 +97,9 @@ func (c *campaign) judge(idx int, seed uint64, info gen.Info, genName string) se
 	}
 	// Compile once, run many, then release: after the verdict below, this
 	// generated program never runs again, so retire its artifacts from the
-	// process-wide caches instead of letting dead modules ride the LRU and
-	// engine pool. Deferred so every early return (quarantine, divergence,
-	// finding) releases too, after any minimization has finished.
+	// process-wide caches instead of letting dead modules ride the LRU.
+	// Deferred so every early return (quarantine, divergence, finding)
+	// releases too, after any minimization has finished.
 	defer harness.ReleaseModule(mod)
 
 	// Oracle 1: tier parity.
@@ -113,7 +113,7 @@ func (c *campaign) judge(idx int, seed uint64, info gen.Info, genName string) se
 		case "panic":
 			b := t.b
 			return c.finish(rec, KindEnginePanic, t.name+": "+o.Report, src, func(s string) bool {
-				return harness.RunSource(s, harness.SafeSulong, b).Class == "panic"
+				return runCandidate(s, b)[0].Class == "panic"
 			})
 		}
 		outs[i] = o
@@ -121,9 +121,7 @@ func (c *campaign) judge(idx int, seed uint64, info gen.Info, genName string) se
 			b0, bt := tiers[0].b, t.b
 			sig := fmt.Sprintf("%s vs tier-0: {%s} != {%s}", t.name, o.Signature(), outs[0].Signature())
 			return c.finish(rec, KindTierDivergence, sig, src, func(s string) bool {
-				a := harness.RunSource(s, harness.SafeSulong, b0)
-				z := harness.RunSource(s, harness.SafeSulong, bt)
-				return judgeable(a) && judgeable(z) && a.Signature() != z.Signature()
+				return diverges(runCandidate(s, b0, bt))
 			})
 		}
 	}
@@ -151,16 +149,14 @@ func (c *campaign) judge(idx int, seed uint64, info gen.Info, genName string) se
 					b := p.b
 					sig := fmt.Sprintf("failnth=%d %s: %s", nth, p.name, p.o.Report)
 					return c.finish(rec, KindFaultPanic, sig, src, func(s string) bool {
-						return harness.RunSource(s, harness.SafeSulong, b).Class == "panic"
+						return runCandidate(s, b)[0].Class == "panic"
 					})
 				}
 			}
 			if f0.Signature() != f1.Signature() {
 				sig := fmt.Sprintf("failnth=%d: tier-1 {%s} != tier-0 {%s}", nth, f1.Signature(), f0.Signature())
 				return c.finish(rec, KindFaultDivergence, sig, src, func(s string) bool {
-					a := harness.RunSource(s, harness.SafeSulong, f0b)
-					z := harness.RunSource(s, harness.SafeSulong, f1b)
-					return judgeable(a) && judgeable(z) && a.Signature() != z.Signature()
+					return diverges(runCandidate(s, f0b, f1b))
 				})
 			}
 		}
@@ -172,7 +168,7 @@ func (c *campaign) judge(idx int, seed uint64, info gen.Info, genName string) se
 			kind0 := o0.Kind
 			sig := fmt.Sprintf("SafeSulong: %s (%s); ASan, Valgrind, Native at -O0: silent", o0.Kind, o0.Report)
 			return c.finish(rec, KindToolBlindSpot, sig, src, func(s string) bool {
-				a := harness.RunSource(s, harness.SafeSulong, c.baseBudget())
+				a := runCandidate(s, c.baseBudget())[0]
 				return a.Detected() && a.Kind == kind0 && c.blind(s)
 			})
 		}
@@ -201,6 +197,33 @@ func (c *campaign) blind(src string) bool {
 		}
 	}
 	return true
+}
+
+// runCandidate judges one minimizer candidate the way judge treats the
+// original: it compiles the candidate once, runs it under Safe Sulong with
+// each budget in turn, and releases its module, so the minimizer's hundreds
+// of one-shot candidates never accumulate in the process-wide caches. A
+// compile failure is every budget's outcome.
+func runCandidate(src string, budgets ...harness.CaseBudget) []harness.Outcome {
+	outs := make([]harness.Outcome, len(budgets))
+	mod, bad := harness.CompileOutcome(src, harness.SafeSulong, budgets[0])
+	if bad != nil {
+		for i := range outs {
+			outs[i] = *bad
+		}
+		return outs
+	}
+	defer harness.ReleaseModule(mod)
+	for i, b := range budgets {
+		outs[i] = harness.RunModule(mod, harness.SafeSulong, b)
+	}
+	return outs
+}
+
+// diverges reports whether a candidate's two outcomes are both
+// deterministic verdicts that still differ.
+func diverges(o []harness.Outcome) bool {
+	return judgeable(o[0]) && judgeable(o[1]) && o[0].Signature() != o[1].Signature()
 }
 
 // judgeable reports whether an outcome is a deterministic verdict the

@@ -65,9 +65,6 @@ var builtinTable = map[string]Builtin{
 // constructed. The harness uses it for test doubles.
 func RegisterBuiltin(name string, fn Builtin) { builtinTable[name] = fn }
 
-// HasBuiltin reports whether a builtin with the given name exists.
-func HasBuiltin(name string) bool { _, ok := builtinTable[name]; return ok }
-
 func biMalloc(e *Engine, fr *Frame, args []Value) (Value, error) {
 	return Value{P: e.AllocHeap(args[0].I, "malloc")}, nil
 }
@@ -93,7 +90,9 @@ func (e *Engine) AllocHeap(size int64, name string) Pointer {
 	obj := NewObject(size, HeapMem, name, e.id())
 	obj.AllocStack = e.callStack
 	e.stats.Allocs++
-	e.heap = append(e.heap, obj)
+	if e.cfg.DetectLeaks {
+		e.heap = append(e.heap, obj)
+	}
 	return Pointer{Obj: obj}
 }
 

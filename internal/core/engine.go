@@ -185,7 +185,7 @@ type Engine struct {
 	maxDepth int
 	nextID   int64
 
-	heap    []*Object // live heap objects, for leak detection
+	heap    []*Object // every heap object, kept only when cfg.DetectLeaks
 	envObjs map[string]*Object
 	stats   Stats
 	mem     *fault.Injector // heap budget + fault schedule (nil-safe)
@@ -292,136 +292,6 @@ func NewEngine(mod *ir.Module, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Reset returns a finished engine to its just-constructed state for a new
-// run of the same module under a fresh configuration, reusing the expensive
-// immutable scaffolding a cold NewEngine would rebuild: the bound builtin
-// table, the global objects (re-zeroed and re-initialized in module order,
-// keeping their IDs 1..N so the next runtime ID — and therefore every later
-// Pointer.OrderKey — matches a cold start exactly), the frame free-list,
-// and the memoized type descriptors (pure functions of C type spellings,
-// which consume no IDs). Everything observable is per-run and is rebuilt
-// exactly as NewEngine would build it: step/depth ledgers, stats, the fault
-// injector (the global charge sequence is replayed against the new budget,
-// so FailNth schedules land on the same allocations), tier-1 dispatch
-// tables and call counts (so tier-up events, OnCompile callbacks, OSR and
-// deopt behavior replay a cold run even when the compiles themselves are
-// code-cache hits), the speculation blacklist, per-site inline-cache and
-// argument-buffer state, the lazily-interned type-name and environment
-// objects (they consume runtime IDs, so they must be re-created in the same
-// order), the diagnostic call stack, and the stdio plumbing. A reset engine
-// is observationally indistinguishable from a new one — the warm-vs-cold
-// parity suite pins that byte-for-byte.
-//
-// On error (a global layout exceeding cfg's budget, exactly as NewEngine
-// would fail) the engine is left half-reset and must be discarded.
-func (e *Engine) Reset(cfg Config) error {
-	// Stop any background compile pool from the previous run, then re-arm
-	// the close latch for this one.
-	e.Close()
-	e.closeOnce = sync.Once{}
-
-	e.cfg = cfg
-	e.gov = cfg.Governor
-	e.maxSteps = cfg.MaxSteps
-	if e.maxSteps == 0 {
-		e.maxSteps = 2_000_000_000
-	}
-	e.maxDepth = cfg.MaxCallDepth
-	if e.maxDepth == 0 {
-		e.maxDepth = 4096
-	}
-	if cfg.Tier1Threshold == 0 {
-		e.cfg.Tier1Threshold = 50
-	}
-	e.sink.Reset()
-	out := cfg.Stdout
-	if out == nil {
-		out = &e.sink
-	}
-	e.stdout = bufio.NewWriter(out)
-	in := cfg.Stdin
-	if in == nil {
-		in = strings.NewReader("")
-	}
-	e.stdin = bufio.NewReader(in)
-
-	e.steps, e.depth = 0, 0
-	e.stats = Stats{}
-	e.callStack = diag.Stack{}
-	for i := range e.compiled {
-		e.compiled[i] = nil
-	}
-	for i := range e.counts {
-		e.counts[i] = 0
-	}
-	for i := range e.heap {
-		e.heap[i] = nil
-	}
-	e.heap = e.heap[:0]
-	e.envObjs = nil
-	e.typeObjs = nil
-	for i := range e.sites {
-		e.sites[i] = CallSite{}
-	}
-	e.sites = e.sites[:0]
-	e.queued = nil
-	e.osrComp, e.osrOn = nil, false
-	e.osrEntries, e.osrCounts = nil, nil
-	e.specMu.Lock()
-	e.specBad = nil
-	e.specMu.Unlock()
-
-	mab := cfg.MaxAllocBytes
-	if mab == 0 {
-		mab = maxHeapAlloc
-	}
-	e.mem = fault.NewInjector(cfg.FaultPlan, fault.Budget{
-		MaxHeapBytes:  cfg.MaxHeapBytes,
-		MaxAllocBytes: mab,
-	})
-
-	// Replay the cold-start global layout: same charge order, same IDs,
-	// same initializer stores. Globals hold IDs 1..N, so the next runtime
-	// ID picks up where a cold initGlobals would have left it. A module
-	// mutated since construction (legal for caller-owned NoCache modules)
-	// fails the shape check and the caller falls back to a cold engine.
-	if len(e.globalList) != len(e.mod.Globals) {
-		return fmt.Errorf("core: reset: module global count changed")
-	}
-	e.nextID = int64(len(e.mod.Globals))
-	for i, g := range e.mod.Globals {
-		obj := e.globalList[i]
-		if obj.Name != g.Name || obj.size != g.Ty.Size() {
-			return fmt.Errorf("core: reset: module global %s changed shape", g.Name)
-		}
-		if e.mem.ChargeFixed(g.Ty.Size()) == fault.Exhausted {
-			return &ResourceError{Resource: "global", Requested: g.Ty.Size(), Limit: e.mem.Limit()}
-		}
-		obj.resetStatic()
-	}
-	for _, g := range e.mod.Globals {
-		if g.Init == nil {
-			continue
-		}
-		if err := e.fillConst(e.globals[g.Name], 0, g.Init, g.Ty); err != nil {
-			return fmt.Errorf("core: initializing global %s: %w", g.Name, err)
-		}
-	}
-
-	if cfg.Tier1 != nil {
-		if oc, ok := cfg.Tier1.(OSRCompiler); ok && cfg.OSRThreshold > 0 {
-			e.osrComp = oc
-			e.osrOn = true
-			e.osrEntries = make(map[int64]CompiledFunc)
-			e.osrCounts = make(map[int64]int64)
-		}
-		if cfg.AsyncJIT {
-			e.startPool()
-		}
-	}
-	return nil
-}
-
 // Module returns the module being executed.
 func (e *Engine) Module() *ir.Module { return e.mod }
 
@@ -466,10 +336,6 @@ func (e *Engine) PushCall(fn string, line int) {
 
 // PopCall removes the innermost call edge.
 func (e *Engine) PopCall() { e.callStack = e.callStack.Pop() }
-
-// CallStack returns the live guest call stack (innermost caller first).
-// The returned value is immutable and safe to retain.
-func (e *Engine) CallStack() diag.Stack { return e.callStack }
 
 // CaptureStack returns the guest call stack with a synthesized leaf frame
 // for the current location — frame #0 of a backtrace. One node allocation.

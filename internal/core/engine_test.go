@@ -199,6 +199,42 @@ entry:
 	}
 }
 
+// TestEngineHeapNotRetainedWithoutLeakCheck pins that the leak-detection
+// heap list is kept only when DetectLeaks asks for it: a malloc/free loop
+// must not grow it, or every freed object stays reachable for the engine's
+// lifetime.
+func TestEngineHeapNotRetainedWithoutLeakCheck(t *testing.T) {
+	m := buildModule(t, `module "t"
+global @n i64 = int 0
+declare @malloc fn(i64) ptr
+declare @free fn(ptr) void
+func @main fn() i32 regs 4 {
+entry:
+  br loop
+loop:
+  %r0 = call ptr &malloc(i64 64) fixed 1
+  call void &free(ptr %r0) fixed 1
+  %r1 = load i64, @n
+  %r2 = add i64 %r1, 1
+  store i64 %r2, @n
+  %r3 = cmp slt i64 %r2, 100
+  condbr %r3, loop, done
+done:
+  ret i32 0
+}
+`)
+	e, _ := NewEngine(m, Config{})
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Stats().Allocs; got != 100 {
+		t.Fatalf("Allocs = %d, want 100", got)
+	}
+	if len(e.heap) != 0 {
+		t.Errorf("heap list holds %d objects with DetectLeaks off, want 0", len(e.heap))
+	}
+}
+
 func TestEngineStats(t *testing.T) {
 	m := buildModule(t, `module "t"
 func @helper fn(i32) i32 regs 2 {

@@ -82,27 +82,6 @@ func NewObject(size int64, mem MemKind, name string, id int64) *Object {
 // being freed, for error messages).
 func (o *Object) Size() int64 { return o.size }
 
-// resetStatic returns a global (static-storage) object to its just-allocated
-// state for engine reuse: zeroed bytes, no pointer slots, no union records,
-// live again, and no retained backtraces. Identity fields (ID, Ty, Desc,
-// Strict, Name, size) are module properties and survive, which is what keeps
-// Pointer.OrderKey stable across a pooled engine's runs.
-func (o *Object) resetStatic() {
-	if o.Data == nil || int64(len(o.Data)) != o.size {
-		o.Data = make([]byte, o.size)
-	} else {
-		for i := range o.Data {
-			o.Data[i] = 0
-		}
-	}
-	o.Ptrs = nil
-	o.unionKinds = nil
-	o.Freed = false
-	o.Returned = false
-	o.AllocStack = diag.Stack{}
-	o.FreeStack = diag.Stack{}
-}
-
 // Pointer is the paper's Address class: a managed reference plus a byte
 // offset for pointer arithmetic (Fig. 6). The zero Pointer is NULL.
 // Function pointers have Fn >= 0 and no object.

@@ -102,6 +102,3 @@ int main(void) {
     return 0;
 }`,
 }
-
-// FixedSource returns the repaired source for a case name ("" if none).
-func FixedSource(name string) string { return fixes[name] }

@@ -278,14 +278,6 @@ func (j *Injector) Stats() Stats {
 	return j.st
 }
 
-// HeapInUse returns the live charged heap bytes.
-func (j *Injector) HeapInUse() int64 {
-	if j == nil {
-		return 0
-	}
-	return j.heapInUse
-}
-
 // Limit returns the configured cumulative budget (0 = unlimited).
 func (j *Injector) Limit() int64 {
 	if j == nil {

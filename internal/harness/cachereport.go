@@ -10,9 +10,8 @@ import (
 // alphabetically at every level, so reports from different runs diff
 // stably against each other.
 type CacheReport struct {
-	CodeCache  CodeCacheReport     `json:"codeCache"`
-	EnginePool EnginePoolReport    `json:"enginePool"`
-	Pipeline   PipelineCacheReport `json:"pipeline"`
+	CodeCache CodeCacheReport     `json:"codeCache"`
+	Pipeline  PipelineCacheReport `json:"pipeline"`
 }
 
 // CodeCacheReport mirrors jit.CodeCacheStats with key-sorted fields.
@@ -24,13 +23,6 @@ type CodeCacheReport struct {
 	Units     int    `json:"units"`
 }
 
-// EnginePoolReport mirrors core.EnginePoolStats with key-sorted fields.
-type EnginePoolReport struct {
-	Hits   uint64 `json:"hits"`
-	Idle   int    `json:"idle"`
-	Misses uint64 `json:"misses"`
-}
-
 // PipelineCacheReport mirrors pipeline.CacheStats with key-sorted fields
 // plus the derived hit rate.
 type PipelineCacheReport struct {
@@ -40,12 +32,11 @@ type PipelineCacheReport struct {
 	Misses  uint64  `json:"misses"`
 }
 
-// Caches snapshots the pipeline module cache, the executable-code cache,
-// and the engine reuse pool in one report.
+// Caches snapshots the pipeline module cache and the executable-code cache
+// in one report.
 func Caches() CacheReport {
 	pc := sulong.CacheStats()
 	cc := sulong.CodeCacheStats()
-	ep := sulong.EnginePoolStats()
 	return CacheReport{
 		CodeCache: CodeCacheReport{
 			Evictions: cc.Evictions,
@@ -53,11 +44,6 @@ func Caches() CacheReport {
 			Hits:      cc.Hits,
 			Misses:    cc.Misses,
 			Units:     cc.Units,
-		},
-		EnginePool: EnginePoolReport{
-			Hits:   ep.Hits,
-			Idle:   ep.Idle,
-			Misses: ep.Misses,
 		},
 		Pipeline: PipelineCacheReport{
 			Entries: pc.Entries,

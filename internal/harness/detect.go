@@ -182,8 +182,8 @@ type CaseBudget struct {
 	// instead of aborting the matrix. 0 = no retries.
 	MaxRetries int
 	// NoCodeCache opts the cell out of the process-wide executable-code
-	// cache and engine reuse pool — the cold baseline the warm-vs-cold
-	// parity suite compares against (see sulong.Config.NoCodeCache).
+	// cache — the cold baseline the warm-vs-cold parity suite compares
+	// against (see sulong.Config.NoCodeCache).
 	NoCodeCache bool
 	// NoCache additionally bypasses the pipeline module cache, so the cell
 	// compiles its source from scratch (see sulong.Config.NoCache). Together

@@ -33,8 +33,8 @@ type SweepOptions struct {
 	// per-seed progress through the same signature, so both surfaces share
 	// one mechanism (and one renderer).
 	Progress func(done, total int)
-	// NoCodeCache opts every run out of the executable-code cache and
-	// engine pool (cold-baseline benchmarking).
+	// NoCodeCache opts every run out of the executable-code cache
+	// (cold-baseline benchmarking; see sulong.Config.NoCodeCache).
 	NoCodeCache bool
 	// NoCache additionally bypasses the pipeline module cache — every run
 	// compiles from source, the fully cold-compile baseline.

@@ -7,7 +7,8 @@ package harness
 // programs across tiers and tools — a wrong-code bug shows up as identical
 // classifications with different stdout, exit codes, or step counts, which
 // Detection cannot express. Outcome carries the full comparison surface, and
-// RunSource produces one without going through corpus registration.
+// CompileOutcome plus RunModule produce one without going through corpus
+// registration.
 
 import (
 	"crypto/sha256"
@@ -73,25 +74,15 @@ func (o Outcome) Signature() string {
 // Detected reports whether the tool positively identified a bug.
 func (o Outcome) Detected() bool { return o.Class == "detected" }
 
-// RunSource compiles and executes an arbitrary C program (not a registered
-// corpus case) under one tool within the given budget, and captures the
-// full comparison surface. It never panics and never kills the process:
-// compile-stage and engine panics are contained (class "panic" — for a
-// generated program that is the finding itself, not a retry candidate), and
-// any harness-side panic lands in class "error".
-func RunSource(src string, tool Tool, b CaseBudget) Outcome {
-	mod, bad := CompileOutcome(src, tool, b)
-	if bad != nil {
-		return *bad
-	}
-	return RunModule(mod, tool, b)
-}
-
-// CompileOutcome runs just the compile stage of RunSource, returning the
-// module on success or the Outcome that ends the run on failure. Callers
-// that judge one program under several same-toolchain oracles (the
-// campaign's tier-parity and fault oracles all use SafeSulong's pipeline)
-// compile once and feed the module to RunModule per oracle.
+// CompileOutcome compiles an arbitrary C program (not a registered corpus
+// case) for one tool, returning the module on success or the Outcome that
+// ends the run on failure. Callers that judge one program under several
+// same-toolchain oracles (the campaign's tier-parity and fault oracles all
+// use SafeSulong's pipeline) compile once and feed the module to RunModule
+// per oracle. Neither half ever panics or kills the process: compile-stage
+// and engine panics are contained (class "panic" — for a generated program
+// that is the finding itself, not a retry candidate), and any harness-side
+// panic lands in class "error".
 func CompileOutcome(src string, tool Tool, b CaseBudget) (m *ir.Module, bad *Outcome) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -116,7 +107,7 @@ func CompileOutcome(src string, tool Tool, b CaseBudget) (m *ir.Module, bad *Out
 func ReleaseModule(mod *ir.Module) { sulong.ReleaseModule(mod) }
 
 // RunModule executes an already-compiled module under one tool within the
-// given budget (the execution half of RunSource).
+// given budget, capturing the full comparison surface.
 func RunModule(mod *ir.Module, tool Tool, b CaseBudget) (o Outcome) {
 	defer func() {
 		if r := recover(); r != nil {

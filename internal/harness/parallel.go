@@ -114,8 +114,7 @@ type MatrixOptions struct {
 	OSR          bool
 	OSRThreshold int64
 	// NoCodeCache opts every cell out of the process-wide executable-code
-	// cache and engine reuse pool (cold-baseline benchmarking; see
-	// sulong.Config.NoCodeCache).
+	// cache (cold-baseline benchmarking; see sulong.Config.NoCodeCache).
 	NoCodeCache bool
 	// NoCache additionally bypasses the pipeline module cache, making every
 	// cell compile its translation unit from scratch — the fully cold

@@ -109,25 +109,14 @@ type RunnerJITStats struct {
 	Inlined     int      `json:"inlined"`
 }
 
-// perfPool parks managed benchmark engines between runners. Sample rows
-// that rebuild a Runner for the same module (recorded warm-up timelines,
-// repeated MeasurePeak calls) reset a parked engine — globals re-zeroed,
-// libc layout kept — instead of paying NewEngine's full layout cost.
-var perfPool = core.NewEnginePool(0)
-
 type managedRunner struct {
 	eng      *core.Engine
 	comp     *jit.Compiler
 	compiled int
-	bad      bool // an iteration errored: never park this engine
-	closed   bool // Close is idempotent, but Put must happen exactly once
 }
 
 func (r *managedRunner) RunIteration() error {
 	_, err := r.eng.Run()
-	if err != nil {
-		r.bad = true
-	}
 	return err
 }
 
@@ -159,21 +148,7 @@ func (r *managedRunner) TierStats() RunnerTierStats {
 	}
 }
 
-// Close parks the engine for the next runner of the same module instead of
-// discarding it (the pool closes it first, draining any async pool). An
-// engine whose iteration errored is closed and dropped: its state is not
-// worth trusting to a reset.
-func (r *managedRunner) Close() {
-	if r.closed {
-		return
-	}
-	r.closed = true
-	if r.bad {
-		r.eng.Close()
-		return
-	}
-	perfPool.Put(r.eng)
-}
+func (r *managedRunner) Close() { r.eng.Close() }
 
 type nativeRunner struct {
 	m *nativevm.Machine
@@ -246,7 +221,7 @@ func NewRunnerOpts(cfgKind PerfConfig, src, arg string, opts RunnerOptions) (Run
 				}
 			}
 		}
-		eng, err := perfPool.Get(mod, ecfg)
+		eng, err := core.NewEngine(mod, ecfg)
 		if err != nil {
 			return nil, err
 		}

@@ -155,6 +155,8 @@ func TestParseErrors(t *testing.T) {
 		`module "x" global @g i32 =`,
 		`module "x" func @f fn() void regs 0 { entry: br nowhere }`,
 		`module "x" struct %s { i32 }`,
+		`"0`,
+		`module "x\`,
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {

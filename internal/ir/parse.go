@@ -11,6 +11,9 @@ import (
 func Parse(src string) (*Module, error) {
 	p := &parser{lex: newLexer(src)}
 	m, err := p.module()
+	if p.lex.err != nil {
+		err = p.lex.err
+	}
 	if err != nil {
 		return nil, fmt.Errorf("ir: parse error at line %d: %w", p.lex.line, err)
 	}
@@ -41,6 +44,8 @@ type lexer struct {
 	pos  int
 	line int
 	tok  token
+	// err is the first lexical error; the lexer then yields only tEOF.
+	err error
 }
 
 func newLexer(src string) *lexer {
@@ -83,6 +88,12 @@ func (l *lexer) next() {
 				l.pos++
 			}
 			l.pos++
+		}
+		if l.pos >= len(l.src) {
+			l.pos = len(l.src)
+			l.err = fmt.Errorf("unterminated string")
+			l.tok = token{kind: tEOF, line: l.line}
+			return
 		}
 		l.pos++ // closing quote
 		s, err := strconv.Unquote(l.src[start:l.pos])

@@ -144,7 +144,7 @@ func (c *Compiler) compileCall(e *core.Engine, in *ir.Instr, fname string) (step
 	// data pointer, unknown index) before any cache logic touches it. Cache
 	// state lives in the *engine's* per-site table, keyed by a compile-time
 	// site ID: the closure itself is immutable, so the code cache can share
-	// it across engines, and a pooled engine restarts with a cold cache. An
+	// it across engines, and every new engine starts with a cold cache. An
 	// engine is single-threaded; the site pointer is re-fetched on every
 	// execution and never held across invoke (the table may grow while guest
 	// code runs, invalidating old pointers).

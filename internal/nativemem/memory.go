@@ -217,6 +217,3 @@ func (m *Memory) CString(addr uint64, max int64) (string, *Fault) {
 	}
 	return string(buf), nil
 }
-
-// PageCount reports the number of mapped pages (tests, stats).
-func (m *Memory) PageCount() int { return len(m.pages) }

@@ -49,16 +49,6 @@ func NewWeights(f *ir.Func) Weights {
 	return w
 }
 
-// BlockCost returns the total weight of block bi — the fuel a tier-1
-// execution of the block must charge.
-func (w Weights) BlockCost(bi int) int64 {
-	var n int64
-	for _, x := range w[bi] {
-		n += x
-	}
-	return n
-}
-
 // isMoveCast reports whether an instruction is a pure register/constant move
 // in the canonical value domain: bitcasts, sign extensions (register values
 // are already stored sign-extended to 64 bits, so SExt is the identity — the

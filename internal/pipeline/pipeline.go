@@ -331,6 +331,20 @@ func (e *entry) fill(mod *ir.Module, stages []StageTiming, err error) {
 	close(e.ready)
 }
 
+// forget drops a failed entry once it is filled. Waiters already holding e
+// still see its error, but a source that does not compile is never kept:
+// Release finds entries by module, and a failed entry has none, so a
+// cached failure could never be released.
+func (c *Cache) forget(k Key, e *entry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, m := range []map[Key]*entry{c.frontend, c.modules} {
+		if m[k] == e {
+			delete(m, k)
+		}
+	}
+}
+
 // frontendModule returns the shared post-lower (pre-opt) module for req,
 // compiling it at most once per (hash, flavor).
 func (c *Cache) frontendModule(req Request, hash string) (*entry, error) {
@@ -348,6 +362,9 @@ func (c *Cache) frontendModule(req Request, hash string) (*entry, error) {
 			mod.ContentID = fmt.Sprintf("%s/%s/O%d", hash, fk.Flavor, fk.OptLevel)
 		}
 		e.fill(mod, stages, err)
+		if err != nil {
+			c.forget(fk, e)
+		}
 	}
 	<-e.ready
 	return e, e.err
@@ -376,6 +393,7 @@ func (c *Cache) Compile(req Request) (*Result, error) {
 	mod, stages, err := c.build(req, hash, key)
 	e.fill(mod, stages, err)
 	if err != nil {
+		c.forget(key, e)
 		return nil, err
 	}
 	return &Result{Module: mod, Key: key, Stages: stages}, nil

@@ -168,13 +168,16 @@ func TestCompileErrorPropagatesToWaiters(t *testing.T) {
 	if _, err := c.Compile(req); err == nil {
 		t.Fatal("expected compile error")
 	}
-	// The error is cached too: the retry observes the same failure without
-	// counting as a hit.
+	// The retry observes the same failure without counting as a hit.
 	if _, err := c.Compile(req); err == nil {
 		t.Fatal("expected cached compile error")
 	}
 	if s := c.Stats(); s.Hits != 0 {
 		t.Errorf("error lookups must not count as hits, got %+v", s)
+	}
+	// Failures are not cached: nothing could ever release them.
+	if s := c.Stats(); s.Entries != 0 {
+		t.Errorf("failed compiles left %d cache entries, want 0", s.Entries)
 	}
 }
 

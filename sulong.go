@@ -112,11 +112,10 @@ type Config struct {
 	// module exclusively (it may be mutated freely). The cache is on by
 	// default; modules it returns are shared and must not be mutated.
 	NoCache bool
-	// NoCodeCache bypasses the back-end reuse layer: the process-wide
-	// executable-code cache (tier-1 closures shared across runs of the same
-	// module) and the engine reset/reuse pool. Every run then constructs a
-	// fresh engine and compiles from scratch — the cold baseline the
-	// warm-vs-cold parity suite and throughput benchmarks compare against.
+	// NoCodeCache bypasses the process-wide executable-code cache (tier-1
+	// closures shared across runs of the same module): every tier-1 compile
+	// runs from scratch — the cold baseline the warm-vs-cold parity suite
+	// and throughput benchmarks compare against.
 	NoCodeCache bool
 
 	// MaxSteps bounds execution (0 = engine default). The budget is
@@ -247,34 +246,30 @@ func CacheStats() pipeline.CacheStats { return pipeline.Default.Stats() }
 // ResetCache drops every cached module (cold-start measurements and tests).
 func ResetCache() { pipeline.Default.Reset() }
 
-// The back-end reuse layer: one executable-code cache and one engine pool
-// for the whole process, mirroring pipeline.Default on the front end.
-// Config.NoCodeCache opts a run out of both.
-var (
-	codeCache  = jit.NewCodeCache(0)
-	enginePool = core.NewEnginePool(0)
-)
+// codeCache is the back-end reuse layer: one executable-code cache for the
+// whole process, mirroring pipeline.Default on the front end.
+// Config.NoCodeCache opts a run out of it.
+var codeCache = jit.NewCodeCache(0)
 
 // CodeCacheStats snapshots the process-wide executable-code cache counters.
 func CodeCacheStats() jit.CodeCacheStats { return codeCache.Stats() }
 
-// EnginePoolStats snapshots the engine reuse pool counters.
-func EnginePoolStats() core.EnginePoolStats { return enginePool.Stats() }
+// EnginePoolStats returns zero counts: engines are no longer pooled. It
+// stays only so that the benchmark under ledger/, which links against it,
+// keeps compiling.
+func EnginePoolStats() core.EnginePoolStats { return core.EnginePoolStats{} }
 
-// ResetCodeCache drops every cached compiled unit and pooled engine and
-// zeroes their counters (cold-start measurements and tests).
-func ResetCodeCache() {
-	codeCache.Reset()
-	enginePool.Reset()
-}
+// ResetCodeCache drops every cached compiled unit and zeroes the cache's
+// counters (cold-start measurements and tests).
+func ResetCodeCache() { codeCache.Reset() }
 
 // ReleaseModule retires mod from every process-wide reuse layer: the module
-// cache, the executable-code cache, and the engine pool. Callers that know a
-// module will never run again — the fuzzing-campaign judge, after the last
-// oracle's verdict on a generated program — use it to implement "compile
-// once, run many, then release": the caches carry the module across its own
-// runs but never accumulate one-shot programs. Releasing is always safe,
-// merely a cache eviction — a later run of the same source recompiles — and
+// cache and the executable-code cache. Callers that know a module will
+// never run again — the fuzzing-campaign judge, after the last oracle's
+// verdict on a generated program — use it to implement "compile once, run
+// many, then release": the caches carry the module across its own runs but
+// never accumulate one-shot programs. Releasing is always safe, merely a
+// cache eviction — a later run of the same source recompiles — and
 // concurrent runs of mod are unaffected.
 func ReleaseModule(mod *ir.Module) {
 	if mod == nil {
@@ -282,7 +277,6 @@ func ReleaseModule(mod *ir.Module) {
 	}
 	pipeline.Default.Release(mod)
 	codeCache.ReleaseModule(mod)
-	enginePool.Release(mod)
 }
 
 // Run compiles and executes a C program under the configured engine.
@@ -408,25 +402,14 @@ func runManaged(mod *ir.Module, cfg Config, gov *core.Governor) (Result, error) 
 			}
 		}
 	}
-	var eng *core.Engine
-	var err error
-	if cfg.NoCodeCache {
-		eng, err = core.NewEngine(mod, ecfg)
-	} else {
-		eng, err = enginePool.Get(mod, ecfg)
-	}
+	eng, err := core.NewEngine(mod, ecfg)
 	if err != nil {
 		return Result{}, err
 	}
-	// The deferred Close covers the panic-containment path (an engine that
-	// panicked is never pooled); the explicit Close below joins the
-	// background compile pool before counters are read.
-	pooled := false
-	defer func() {
-		if !pooled {
-			eng.Close()
-		}
-	}()
+	// The deferred Close covers the panic-containment path; the explicit
+	// Close below joins the background compile pool before counters are
+	// read.
+	defer eng.Close()
 	code, err := eng.Run()
 	eng.Close()
 	stats := eng.Stats()
@@ -447,13 +430,6 @@ func runManaged(mod *ir.Module, cfg Config, gov *core.Governor) (Result, error) 
 	}
 	if cfg.DetectLeaks {
 		res.Leaks = eng.Leaks()
-	}
-	// Everything the result needs has been read out of the engine (output
-	// string, stats, leak reports — all value types or engine-independent
-	// persistent structures), so it is safe to recycle it.
-	if !cfg.NoCodeCache {
-		pooled = true
-		enginePool.Put(eng)
 	}
 	tier := "tier-0"
 	if cfg.JIT {

@@ -1,9 +1,8 @@
 package sulong_test
 
 // Warm-vs-cold parity pin for the compile-once/run-many machinery, run under
-// -race by `make throughputcheck`. A warm run — executable-code cache hit,
-// engine taken from the reuse pool — must be observationally indistinguishable
-// from a cold compile: byte-identical stdout, exit code, Stats.Steps,
+// -race by `make throughputcheck`. A warm run — module and executable-code
+// cache hits — must be observationally indistinguishable from a cold compile: byte-identical stdout, exit code, Stats.Steps,
 // Stats.Calls, and rendered diagnostics, across the full bug corpus, for
 // tier-0, forced tier-1, and async+OSR tiering, clean and under injected
 // allocation faults. TestBenchPR10Schema additionally pins the committed
@@ -41,8 +40,8 @@ var throughputTiers = []struct {
 	}},
 }
 
-// runPin executes one corpus case once. cold opts out of the code cache and
-// engine pool (the from-scratch execution model); warm runs use both.
+// runPin executes one corpus case once. cold opts out of the code cache (the
+// from-scratch execution model); warm runs use it.
 func runPin(t *testing.T, c corpus.Case, tier func(*sulong.Config), failNth int64, cold bool) sulong.Result {
 	t.Helper()
 	cfg := sulong.Config{
@@ -79,7 +78,7 @@ func observables(r sulong.Result) string {
 // TestWarmColdCacheParity is the acceptance pin: for every corpus case, every
 // tier selection, and fault plans {none, FailNth 1, FailNth 2}, a cold run,
 // a warm run, and a second warm run (the one that actually hits the code
-// cache and a pooled engine) must agree byte-for-byte on every observable.
+// cache) must agree byte-for-byte on every observable.
 func TestWarmColdCacheParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus sweep skipped in -short mode")
