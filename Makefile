@@ -9,9 +9,9 @@
 GO ?= go
 TEST_TIMEOUT ?= 300s
 
-.PHONY: check fmt vet build test race hangcheck diagcheck faultcheck perfcheck tiercheck typecheck fuzzcheck throughputcheck bench benchsmoke clean
+.PHONY: check fmt vet build test race hangcheck diagcheck faultcheck perfcheck tiercheck typecheck fuzzcheck throughputcheck bench benchsmoke ledgercheck clean
 
-check: fmt vet build test race faultcheck perfcheck tiercheck typecheck fuzzcheck throughputcheck benchsmoke
+check: fmt vet build test race faultcheck perfcheck tiercheck typecheck fuzzcheck throughputcheck benchsmoke ledgercheck
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -114,6 +114,12 @@ bench:
 # waiting for the next `make bench`.
 benchsmoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -timeout $(TEST_TIMEOUT) ./...
+
+# Benchmark build gate: ledger/ is a nested module (it replaces repro with
+# this checkout), so the root `go build ./...` never compiles it. Vetting
+# it here catches an API change that would leave the benchmark unbuildable.
+ledgercheck:
+	cd ledger && $(GO) vet ./...
 
 clean:
 	$(GO) clean ./...

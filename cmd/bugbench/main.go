@@ -142,10 +142,9 @@ func main() {
 		}
 	case *faultSweep:
 		res := harness.FaultSweep(harness.SweepOptions{
-			MaxNth:       *sweepMax,
-			Workers:      *parallel,
-			MaxSteps:     *maxSteps,
-			MaxHeapBytes: *maxHeap,
+			CaseBudget: budget,
+			MaxNth:     *sweepMax,
+			Workers:    *parallel,
 		})
 		fmt.Print(res.Render())
 		if *jsonOut != "" {
@@ -177,20 +176,7 @@ func main() {
 		}
 	default:
 		start := time.Now()
-		m := harness.RunDetectionMatrixWith(harness.MatrixOptions{
-			Workers:       *parallel,
-			MaxSteps:      *maxSteps,
-			CaseTimeout:   *timeout,
-			MaxHeapBytes:  *maxHeap,
-			MaxAllocBytes: *maxAlloc,
-			FaultPlan:     plan,
-			MaxRetries:    *retries,
-			JIT:           budget.JIT,
-			JITThreshold:  budget.JITThreshold,
-			JITAsync:      budget.JITAsync,
-			OSR:           budget.OSR,
-			OSRThreshold:  budget.OSRThreshold,
-		})
+		m := harness.RunDetectionMatrixWith(harness.MatrixOptions{CaseBudget: budget, Workers: *parallel})
 		elapsed := time.Since(start)
 		fmt.Print(m.Render())
 		stats := sulong.CacheStats()

@@ -203,14 +203,11 @@ func main() {
 		fmt.Printf("Corpus-matrix wall clock (cache warm, %d cases x %d tools):\n",
 			len(harness.RunDetectionMatrix().Cases), len(harness.Tools()))
 		t0 := time.Now()
-		serial := harness.RunDetectionMatrixWith(harness.MatrixOptions{
-			Workers: 1, MaxSteps: *maxSteps, CaseTimeout: *cellTimeout,
-		})
+		budget := harness.CaseBudget{MaxSteps: *maxSteps, Timeout: *cellTimeout}
+		serial := harness.RunDetectionMatrixWith(harness.MatrixOptions{CaseBudget: budget, Workers: 1})
 		serialDur := time.Since(t0)
 		t0 = time.Now()
-		par := harness.RunDetectionMatrixWith(harness.MatrixOptions{
-			Workers: workers, MaxSteps: *maxSteps, CaseTimeout: *cellTimeout,
-		})
+		par := harness.RunDetectionMatrixWith(harness.MatrixOptions{CaseBudget: budget, Workers: workers})
 		parDur := time.Since(t0)
 		if serial.Render() != par.Render() {
 			fmt.Fprintln(os.Stderr, "perfbench: serial and parallel matrices disagree")
@@ -639,7 +636,7 @@ func recordThroughput(path string) {
 
 	matrixRun := func(jit bool) driverRun {
 		return func(cold bool, w int, lat *[]time.Duration) int {
-			opts := harness.MatrixOptions{Workers: w, NoCodeCache: cold, NoCache: cold}
+			opts := harness.MatrixOptions{CaseBudget: harness.CaseBudget{NoCodeCache: cold, NoCache: cold}, Workers: w}
 			if jit {
 				opts.JIT = true
 				opts.JITThreshold = 1
@@ -652,7 +649,7 @@ func recordThroughput(path string) {
 		}
 	}
 	sweepRun := func(cold bool, w int, lat *[]time.Duration) int {
-		opts := harness.SweepOptions{Workers: w, MaxNth: 2, NoCodeCache: cold, NoCache: cold}
+		opts := harness.SweepOptions{CaseBudget: harness.CaseBudget{NoCodeCache: cold, NoCache: cold}, Workers: w, MaxNth: 2}
 		if lat != nil {
 			opts.Progress = latProgress(lat)
 		}

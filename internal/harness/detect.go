@@ -142,8 +142,11 @@ type MatrixResult struct {
 // yet bounds a non-terminating program deterministically.
 const DefaultMaxSteps = 50_000_000
 
-// CaseBudget bounds one cell's execution. The zero value means "harness
-// defaults": DefaultMaxSteps and no wall-clock deadline.
+// CaseBudget is the run profile: it bounds and configures one cell's
+// execution. RunCaseWith and CaseStudiesWith take it directly, and
+// MatrixOptions and SweepOptions embed it, so every driver that runs cells
+// under a caller's budget declares these knobs once. The zero value means
+// "harness defaults": DefaultMaxSteps and no wall-clock deadline.
 type CaseBudget struct {
 	// MaxSteps is the step budget. 0 selects DefaultMaxSteps; a negative
 	// value defers to the engine's own default (effectively unbounded).

@@ -29,9 +29,9 @@ func oomCase() corpus.Case {
 func TestMatrixClassifiesOOMDeterministically(t *testing.T) {
 	normal := corpus.All()[0]
 	opts := MatrixOptions{
-		Cases:        []corpus.Case{normal, oomCase()},
-		Tools:        []Tool{SafeSulong, ASanO0, NativeO0},
-		MaxHeapBytes: 1 << 20,
+		Cases:      []corpus.Case{normal, oomCase()},
+		Tools:      []Tool{SafeSulong, ASanO0, NativeO0},
+		CaseBudget: CaseBudget{MaxHeapBytes: 1 << 20},
 	}
 
 	var renders []string
@@ -81,9 +81,9 @@ func TestMatrixFaultPlanDeterministicAcrossWorkers(t *testing.T) {
 		cases = cases[:8]
 	}
 	opts := MatrixOptions{
-		Cases:     cases,
-		Tools:     []Tool{SafeSulong, NativeO0},
-		FaultPlan: fault.Plan{FailNth: 2},
+		Cases:      cases,
+		Tools:      []Tool{SafeSulong, NativeO0},
+		CaseBudget: CaseBudget{FaultPlan: fault.Plan{FailNth: 2}},
 	}
 
 	var renders, diags []string
@@ -163,6 +163,23 @@ func TestRetryRecoversTransientInternalError(t *testing.T) {
 	}
 }
 
+// TestFaultSweepRetriesUnderBudget: every sweep run takes the embedded run
+// profile, so MaxRetries recovers a transient engine death that a sweep
+// without retries reports as a panic violation.
+func TestFaultSweepRetriesUnderBudget(t *testing.T) {
+	defer flakyFailures.Store(0)
+	opts := SweepOptions{Cases: []corpus.Case{flakyCase()}, Tools: []Tool{SafeSulong}, MaxNth: 1, Workers: 1}
+	flakyFailures.Store(1)
+	if res := FaultSweep(opts); res.OK() {
+		t.Fatal("without retries a transient engine death must be a sweep violation")
+	}
+	flakyFailures.Store(1)
+	opts.MaxRetries = 1
+	if res := FaultSweep(opts); !res.OK() {
+		t.Fatalf("MaxRetries did not reach the sweep's runs:\n%s", res.Render())
+	}
+}
+
 // TestPersistentInternalErrorIsQuarantined: a cell that fails on every
 // attempt is quarantined with a deterministic single-line reason instead of
 // aborting the matrix.
@@ -191,7 +208,7 @@ func TestPersistentInternalErrorIsQuarantined(t *testing.T) {
 	m := RunDetectionMatrixWith(MatrixOptions{
 		Cases:      []corpus.Case{corpus.All()[0], flakyCase()},
 		Tools:      []Tool{SafeSulong},
-		MaxRetries: 1,
+		CaseBudget: CaseBudget{MaxRetries: 1},
 	})
 	if len(m.Quarantined) != 1 || !strings.Contains(m.Quarantined[0], flakyCase().Name) {
 		t.Fatalf("MatrixResult.Quarantined = %v, want the flaky case", m.Quarantined)

@@ -7,14 +7,20 @@ import (
 	"time"
 
 	"repro/internal/corpus"
-	"repro/internal/fault"
 )
 
 // SweepOptions configures a fault-injection sweep: every case is run under
 // FailNth = 1..MaxNth for every tool, asserting that injected allocation
 // failures never panic an engine and that the managed engine classifies
 // each injected outcome identically in tier 0 and tier 1.
+//
+// The embedded CaseBudget is the run profile of every sweep run, except for
+// the sweep's own two axes: each run sets FaultPlan.FailNth to the swept
+// nth, and SafeSulong runs once with JIT off and once with JIT on at
+// JITThreshold 1 (the tier-parity pair; JITAsync, OSR and OSRThreshold
+// shape the tiered run).
 type SweepOptions struct {
+	CaseBudget
 	// MaxNth sweeps FailNth from 1 to this value (default 3).
 	MaxNth int
 	// Cases restricts the corpus (nil = corpus.All()).
@@ -23,22 +29,12 @@ type SweepOptions struct {
 	Tools []Tool
 	// Workers bounds the goroutine pool (<= 0 = GOMAXPROCS, 1 = serial).
 	Workers int
-	// MaxSteps is the per-run step budget (0 = DefaultMaxSteps).
-	MaxSteps int64
-	// MaxHeapBytes additionally bounds guest memory per run (0 = none).
-	MaxHeapBytes int64
 	// Progress, when non-nil, is called after every completed (case, nth,
 	// tool) cell with the running count. Calls are serialized, so the
 	// callback needs no locking of its own. The campaign driver reports its
 	// per-seed progress through the same signature, so both surfaces share
 	// one mechanism (and one renderer).
 	Progress func(done, total int)
-	// NoCodeCache opts every run out of the executable-code cache
-	// (cold-baseline benchmarking; see sulong.Config.NoCodeCache).
-	NoCodeCache bool
-	// NoCache additionally bypasses the pipeline module cache — every run
-	// compiles from source, the fully cold-compile baseline.
-	NoCache bool
 }
 
 // SweepViolation is one assertion failure found by the sweep.
@@ -82,10 +78,10 @@ func (r *SweepResult) Render() string {
 }
 
 // FaultSweep runs the deterministic allocation-failure sweep. For every
-// (case, nth, tool) triple it runs the case under fault.Plan{FailNth: nth}
-// and asserts the engine survives (no contained panic — a guest that
-// mishandles a NULL malloc must produce a *report* or a crash
-// classification, never an engine death). For SafeSulong it additionally
+// (case, nth, tool) triple it runs the case under the options' budget with
+// FaultPlan.FailNth = nth and asserts the engine survives (no contained
+// panic — a guest that mishandles a NULL malloc must produce a *report* or
+// a crash classification, never an engine death). For SafeSulong it additionally
 // runs the same plan with the tier-1 compiler forced hot (JITThreshold 1)
 // and asserts both tiers classify the injected outcome identically — the
 // paper's "identical semantics across tiers" claim extended to injected
@@ -141,13 +137,9 @@ func FaultSweep(opts SweepOptions) *SweepResult {
 		nth := rem/nt + 1
 		tool := tools[rem%nt]
 
-		budget := CaseBudget{
-			MaxSteps:     opts.MaxSteps,
-			MaxHeapBytes: opts.MaxHeapBytes,
-			FaultPlan:    fault.Plan{FailNth: int64(nth)},
-			NoCodeCache:  opts.NoCodeCache,
-			NoCache:      opts.NoCache,
-		}
+		budget := opts.CaseBudget
+		budget.FaultPlan.FailNth = int64(nth)
+		budget.JIT = false
 		out := &grid[i]
 		start := time.Now()
 		defer func() { costs.observe(c.Name+"|"+tool.String(), time.Since(start)) }()

@@ -59,17 +59,13 @@ func PerfConfigs() []PerfConfig {
 const DefaultTier1Threshold = 25
 
 // RunnerOptions tunes the managed configurations. The zero value reproduces
-// the historical harness behavior (threshold 25, one background worker for
-// async configs, default back-edge threshold for OSR).
+// the historical harness behavior (threshold 25). Async configs compile on
+// the pool's default single worker, and SafeSulongAsyncOSR uses the
+// library's default back-edge threshold.
 type RunnerOptions struct {
 	// Tier1Threshold overrides the call count that triggers tier-up
 	// (DefaultTier1Threshold when zero).
 	Tier1Threshold int64
-	// OSRThreshold overrides the back-edge count that requests an OSR entry
-	// for SafeSulongAsyncOSR (sulong.DefaultOSRThreshold when zero).
-	OSRThreshold int64
-	// Workers bounds the background compile pool for async configs.
-	Workers int
 }
 
 // Runner executes one program repeatedly in-process (the paper's warm-up
@@ -213,12 +209,8 @@ func NewRunnerOpts(cfgKind PerfConfig, src, arg string, opts RunnerOptions) (Run
 		switch cfgKind {
 		case SafeSulongAsync, SafeSulongAsyncOSR:
 			ecfg.AsyncJIT = true
-			ecfg.JITWorkers = opts.Workers
 			if cfgKind == SafeSulongAsyncOSR {
-				ecfg.OSRThreshold = opts.OSRThreshold
-				if ecfg.OSRThreshold <= 0 {
-					ecfg.OSRThreshold = sulong.DefaultOSRThreshold
-				}
+				ecfg.OSRThreshold = sulong.DefaultOSRThreshold
 			}
 		}
 		eng, err := core.NewEngine(mod, ecfg)

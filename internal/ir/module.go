@@ -124,8 +124,8 @@ type Module struct {
 	// ContentID, when non-empty, is a content address for the whole module,
 	// stamped by the compilation pipeline before publication: the full hash
 	// of the input file set plus the flavor and opt level that produced it.
-	// Consumers (the executable-code cache) may key on it instead of
-	// re-hashing the printed IR. It is a claim of immutability — never set
+	// The executable-code cache keys on it and shares compiled code only
+	// across modules that carry one. It is a claim of immutability — never set
 	// it on a module that might still be mutated — and it is deliberately
 	// not printed, parsed, or cloned: a hand-built, parsed, or cloned module
 	// has no pipeline identity.

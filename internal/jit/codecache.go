@@ -28,8 +28,6 @@ package jit
 
 import (
 	"container/list"
-	"crypto/sha256"
-	"encoding/hex"
 	"sync"
 	"sync/atomic"
 
@@ -70,52 +68,11 @@ func (c *Compiler) fingerprint() Fingerprint {
 	}
 }
 
-// cacheKey addresses one unit: the module's content hash (not its pointer —
-// re-parsed but identical sources share code) plus the config fingerprint.
+// cacheKey addresses one unit: the module's ContentID (not its pointer —
+// re-compiled but identical sources share code) plus the config fingerprint.
 type cacheKey struct {
 	hash string
 	fp   Fingerprint
-}
-
-// modHashes memoizes the content hash per module pointer: drivers run the
-// same shared immutable *ir.Module many times, and hashing the printed IR
-// is itself a cost worth paying once. (Keying by pointer is safe because
-// modules handed to engines are immutable by contract.) The memo is
-// epoch-cleared at a size bound rather than grown forever: a fuzzing
-// campaign hashes one fresh module per generated program, and a memo that
-// pins every module it ever saw would leak the whole campaign's IR. The
-// bound comfortably covers the corpus × opt-config working set, so steady
-// drivers never re-hash; a clear costs one re-hash per live module.
-const modHashBound = 512
-
-var (
-	modHashMu sync.Mutex
-	modHashes = make(map[*ir.Module]string, 64)
-)
-
-func moduleHash(m *ir.Module) string {
-	// Pipeline-built modules carry a content address already; hashing the
-	// printed IR per generated program was a measurable share of a fuzzing
-	// campaign's whole budget. The "cid:"/"sha:" prefixes keep the two hash
-	// domains from ever colliding.
-	if m.ContentID != "" {
-		return "cid:" + m.ContentID
-	}
-	modHashMu.Lock()
-	h, ok := modHashes[m]
-	modHashMu.Unlock()
-	if ok {
-		return h
-	}
-	sum := sha256.Sum256([]byte(ir.Print(m)))
-	h = "sha:" + hex.EncodeToString(sum[:])
-	modHashMu.Lock()
-	if len(modHashes) >= modHashBound {
-		modHashes = make(map[*ir.Module]string, 64)
-	}
-	modHashes[m] = h
-	modHashMu.Unlock()
-	return h
 }
 
 // funcEntry is one function's compiled artifact inside a unit. ready closes
@@ -170,7 +127,7 @@ func NewCodeCache(capUnits int) *CodeCache {
 // unitFor returns (creating if needed) the unit for m under fp, updating
 // recency and evicting over-capacity units.
 func (cc *CodeCache) unitFor(m *ir.Module, fp Fingerprint) *unit {
-	key := cacheKey{hash: moduleHash(m), fp: fp}
+	key := cacheKey{hash: m.ContentID, fp: fp}
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	if u, ok := cc.units[key]; ok {
@@ -231,37 +188,19 @@ func (cc *CodeCache) compile(c *Compiler, e *core.Engine, fidx int) core.Compile
 }
 
 // ReleaseModule evicts every unit compiled from m, across all config
-// fingerprints, and drops m's hash memo. Drivers that retire a module for
-// good call it so a churn workload — a fuzzing campaign compiles one fresh
-// module per generated program and never revisits it — does not fill the LRU
-// with dead code that only GC scan time pays for. Engines still holding
-// closures from a released unit keep running them; release is an eviction,
-// not an invalidation.
+// fingerprints. Drivers that retire a module for good call it so a churn
+// workload — a fuzzing campaign compiles one fresh module per generated
+// program and never revisits it — does not fill the LRU with dead code that
+// only GC scan time pays for. Engines still holding closures from a released
+// unit keep running them; release is an eviction, not an invalidation. A
+// module without a ContentID was never cached, so releasing it is a no-op.
 func (cc *CodeCache) ReleaseModule(m *ir.Module) {
-	var h string
-	if m.ContentID != "" {
-		h = "cid:" + m.ContentID
-	} else {
-		// Consult (and drop) the hash memo rather than re-hashing: every
-		// module that ever entered the cache was memoized by unitFor, so a
-		// miss means the module is not cached and release is a no-op — which
-		// keeps releasing cheap for NoCodeCache runs, where hashing printed
-		// IR would be pure overhead. (If an epoch clear raced in between,
-		// the unit just waits for ordinary LRU eviction instead.)
-		modHashMu.Lock()
-		memo, ok := modHashes[m]
-		if ok {
-			delete(modHashes, m)
-		}
-		modHashMu.Unlock()
-		if !ok {
-			return
-		}
-		h = memo
+	if m.ContentID == "" {
+		return
 	}
 	cc.mu.Lock()
 	for key, u := range cc.units {
-		if key.hash == h {
+		if key.hash == m.ContentID {
 			cc.lru.Remove(u.elem)
 			delete(cc.units, key)
 			cc.evictions.Add(1)

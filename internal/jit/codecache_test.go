@@ -39,6 +39,7 @@ func cacheEngine(t *testing.T, src string, cc *CodeCache) (*core.Engine, *Compil
 	if err := ir.Verify(m); err != nil {
 		t.Fatal(err)
 	}
+	m.ContentID = src // the cache shares code only across content-addressed modules
 	comp := New()
 	comp.Cache = cc
 	e, err := core.NewEngine(m, core.Config{Tier1: comp, Tier1Threshold: 1})
@@ -208,9 +209,9 @@ func TestCodeCacheHitNotMutated(t *testing.T) {
 }
 
 // TestCodeCacheReleaseModule: releasing a module evicts its units (across
-// fingerprints) and drops its hash memo, a never-cached module releases as
-// a no-op, and a re-compile after release simply misses and works — release
-// is an eviction, not an invalidation.
+// fingerprints), a never-cached module releases as a no-op, and a
+// re-compile after release simply misses and works — release is an
+// eviction, not an invalidation.
 func TestCodeCacheReleaseModule(t *testing.T) {
 	cc := NewCodeCache(8)
 	src := cacheModSrc(7)
@@ -235,12 +236,6 @@ func TestCodeCacheReleaseModule(t *testing.T) {
 	}
 	if st.Evictions != 2 {
 		t.Fatalf("release evicted %d units, want 2", st.Evictions)
-	}
-	modHashMu.Lock()
-	_, memoized := modHashes[e1.Module()]
-	modHashMu.Unlock()
-	if memoized {
-		t.Fatal("release kept the module pinned in the hash memo")
 	}
 
 	// Releasing a module the cache never saw is a no-op.
@@ -271,7 +266,7 @@ func TestCodeCacheReleaseModule(t *testing.T) {
 }
 
 // TestCodeCacheReleaseByContentID: a pipeline-stamped module is addressed by
-// its ContentID; release must find its units without consulting the memo.
+// its ContentID; release must find its units by it.
 func TestCodeCacheReleaseByContentID(t *testing.T) {
 	cc := NewCodeCache(8)
 	src := cacheModSrc(9)
@@ -283,5 +278,23 @@ func TestCodeCacheReleaseByContentID(t *testing.T) {
 	cc.ReleaseModule(e.Module())
 	if st := cc.Stats(); st.Units != 0 || st.Evictions != 1 {
 		t.Fatalf("ContentID release missed the unit: %+v", st)
+	}
+}
+
+// TestCodeCacheSkipsModuleWithoutContentID: a module with no content address
+// (parsed from text, or compiled with NoCache) compiles privately — it
+// works, but never enters the shared cache.
+func TestCodeCacheSkipsModuleWithoutContentID(t *testing.T) {
+	cc := NewCodeCache(4)
+	e, c, fidx := cacheEngine(t, cacheModSrc(10), cc)
+	e.Module().ContentID = ""
+	if fn := c.Compile(e, fidx); fn == nil {
+		t.Fatal("private compile returned nil closure")
+	}
+	if st := cc.Stats(); st.Units != 0 || st.Hits+st.Misses != 0 {
+		t.Fatalf("module without ContentID reached the shared cache: %+v", st)
+	}
+	if c.Snapshot().Compiled != 1 {
+		t.Fatalf("private compile not counted: %+v", c.Snapshot())
 	}
 }

@@ -188,10 +188,11 @@ func (c *Compiler) siteID() int {
 
 // Compile lowers the function at fidx to closures. A nil result means the
 // function stays in the interpreter (and is counted in Bailed). With a
-// Cache attached, the compile is served from (or populates) the shared
-// executable-code cache.
+// Cache attached, the compile of a content-addressed module (one with a
+// ContentID) is served from (or populates) the shared executable-code cache;
+// any other module compiles privately.
 func (c *Compiler) Compile(e *core.Engine, fidx int) core.CompiledFunc {
-	if c.Cache != nil {
+	if c.Cache != nil && e.Module().ContentID != "" {
 		return c.Cache.compile(c, e, fidx)
 	}
 	c.mu.Lock()

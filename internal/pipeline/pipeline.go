@@ -185,6 +185,10 @@ func NativeOpt(mod *ir.Module, optLevel int) {
 	}
 }
 
+// compileUncached is the front end a cache miss runs; a test swaps it to
+// inject a front-end panic.
+var compileUncached = CompileUncached
+
 // CompileUncached runs every stage for req with no cache interaction and
 // returns a module the caller owns exclusively.
 func CompileUncached(req Request) (*ir.Module, []StageTiming, error) {
@@ -331,6 +335,19 @@ func (e *entry) fill(mod *ir.Module, stages []StageTiming, err error) {
 	close(e.ready)
 }
 
+// fillOnPanic, deferred by the goroutine that fills e, publishes an error
+// into e and forgets it if that goroutine panics, then re-raises the panic
+// for the caller's containment boundary (sulong.CompileFor). Without it
+// every waiter, and every later request for the same key, would block on
+// e.ready forever.
+func (c *Cache) fillOnPanic(k Key, e *entry) {
+	if r := recover(); r != nil {
+		e.fill(nil, nil, fmt.Errorf("pipeline: compile of %s panicked: %v", k, r))
+		c.forget(k, e)
+		panic(r)
+	}
+}
+
 // forget drops a failed entry once it is filled. Waiters already holding e
 // still see its error, but a source that does not compile is never kept:
 // Release finds entries by module, and a failed entry has none, so a
@@ -351,9 +368,10 @@ func (c *Cache) frontendModule(req Request, hash string) (*entry, error) {
 	fk := Key{Hash: hash, Flavor: req.Flavor, OptLevel: frontendLevel}
 	e, fillIt := c.lookup(c.frontend, fk)
 	if fillIt {
+		defer c.fillOnPanic(fk, e)
 		bare := req
 		bare.Bare = true
-		mod, stages, err := CompileUncached(bare)
+		mod, stages, err := compileUncached(bare)
 		if err == nil {
 			// Content-address the unit before publication (full input-set
 			// hash, not the display-truncated Key.String), so downstream
@@ -390,6 +408,7 @@ func (c *Cache) Compile(req Request) (*Result, error) {
 	}
 
 	c.misses.Add(1)
+	defer c.fillOnPanic(key, e)
 	mod, stages, err := c.build(req, hash, key)
 	e.fill(mod, stages, err)
 	if err != nil {

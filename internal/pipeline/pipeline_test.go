@@ -1,7 +1,9 @@
 package pipeline
 
 import (
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -178,6 +180,67 @@ func TestCompileErrorPropagatesToWaiters(t *testing.T) {
 	// Failures are not cached: nothing could ever release them.
 	if s := c.Stats(); s.Entries != 0 {
 		t.Errorf("failed compiles left %d cache entries, want 0", s.Entries)
+	}
+}
+
+// TestFrontEndPanicDoesNotWedgeCache: a front end that panics while filling
+// a cache entry must re-raise the panic to its caller, and must not leave
+// the entry unfilled — a waiter gets an error and a later request for the
+// same source compiles afresh, instead of both blocking forever.
+func TestFrontEndPanicDoesNotWedgeCache(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	compileUncached = func(req Request) (*ir.Module, []StageTiming, error) {
+		if calls.Add(1) == 1 {
+			close(entered)
+			<-release
+			panic("front-end test double")
+		}
+		return CompileUncached(req)
+	}
+	defer func() { compileUncached = CompileUncached }()
+
+	c := NewCache()
+	req := Request{Source: testSrc, Flavor: FlavorManaged}
+	leader := make(chan any, 1)
+	go func() {
+		defer func() { leader <- recover() }()
+		c.Compile(req)
+	}()
+	<-entered
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := c.Compile(req)
+		waiter <- err
+	}()
+	time.Sleep(50 * time.Millisecond) // let the waiter block on the entry
+	close(release)
+
+	if r := <-leader; r != "front-end test double" {
+		t.Fatalf("leader recovered %v, want the front end's panic re-raised", r)
+	}
+	select {
+	case err := <-waiter:
+		// A waiter that arrived after the entry was forgotten compiles
+		// afresh instead; either way it must not block.
+		if err != nil && !strings.Contains(err.Error(), "panicked") {
+			t.Fatalf("waiter error %q does not name the panic", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter wedged on the entry the panicking leader never filled")
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Compile(req)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("compile after the panic: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("later request wedged on the entry the panicking leader never filled")
 	}
 }
 
